@@ -19,12 +19,14 @@ errors; scoring refuses node ids outside the recorded fleet geometry.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from repro._util import fsync_dir
 from repro.logs.integrity import crc32c
 from repro.predict.errors import PredictError, mismatch
 from repro.predict.features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
@@ -160,8 +162,14 @@ class Model:
         payload = self._payload()
         payload["crc"] = crc32c(self._canonical())
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
+        # Same crash ordering as the stream checkpoint: data fsync before
+        # the rename, directory fsync after it.
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        fsync_dir(path.parent)
         return f"{payload['crc']:08x}"
 
     @classmethod

@@ -11,11 +11,15 @@ double-counted and no alert fires twice.
 
 Writes are atomic: the document lands in a ``.tmp`` sibling first and
 is renamed over ``checkpoint.json`` with :func:`os.replace`, so a crash
-mid-write leaves the previous checkpoint intact.  The schema is
-versioned; loading a checkpoint from a different schema (or a corrupt
-file) raises :class:`CheckpointError` rather than resuming from
-garbage.  The document layout is validated in CI against
-``schemas/checkpoint.schema.json``.
+mid-write leaves the previous checkpoint intact.  The document is
+written in compact JSON (no indentation, so the C encoder runs) and is
+CRC-framed: a leading ``crc32c`` field holds the CRC-32C of the compact
+encoding of the rest of the document, spliced in after one encoding
+pass.  The schema is versioned; loading a checkpoint from a different
+schema, a corrupt file, or one whose content no longer matches its
+CRC (bit damage, a hand edit) raises :class:`CheckpointError` rather
+than resuming from garbage.  The document layout is validated in CI
+against ``schemas/checkpoint.schema.json``.
 """
 
 from __future__ import annotations
@@ -25,15 +29,23 @@ import os
 from pathlib import Path
 
 from repro._util import fsync_dir
+from repro.logs.integrity import crc32c
 
 #: Bump on any change to the checkpoint document layout.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 CHECKPOINT_NAME = "checkpoint.json"
 
+_SEPARATORS = (",", ":")
+
+
+def _digest(body: str) -> str:
+    """The frame CRC of a compact-encoded document without its ``crc32c``."""
+    return f"{crc32c(body.encode()):08x}"
+
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be loaded (corrupt, or wrong schema)."""
+    """A checkpoint could not be loaded (corrupt, wrong schema or CRC)."""
 
 
 class CheckpointStore:
@@ -63,8 +75,9 @@ class CheckpointStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         doc = {"schema_version": CHECKPOINT_SCHEMA_VERSION, **state}
+        body = json.dumps(doc, separators=_SEPARATORS)
+        payload = f'{{"crc32c":"{_digest(body)}",{body[1:]}'
         tmp = self.path.with_suffix(".json.tmp")
-        payload = json.dumps(doc, indent=1)
         with open(tmp, "w") as fh:
             fh.write(payload)
             fh.flush()
@@ -96,5 +109,14 @@ class CheckpointStore:
                 f"{version!r}, expected {CHECKPOINT_SCHEMA_VERSION}; hint: "
                 "start over with --no-resume (or delete the checkpoint "
                 "directory) -- checkpoints do not migrate across schemas"
+            )
+        recorded = doc.pop("crc32c", None)
+        digest = _digest(json.dumps(doc, separators=_SEPARATORS))
+        if recorded != digest:
+            raise CheckpointError(
+                f"{self.path}: checkpoint crc32c mismatch: found {digest}, "
+                f"expected {recorded}; hint: the checkpoint was damaged "
+                "or edited after it was written -- start over with "
+                "--no-resume (or delete the checkpoint directory)"
             )
         return doc

@@ -1,9 +1,10 @@
 """CRC-32C kernel correctness and shard sidecar verification.
 
 The checksum implementation is pure numpy (scalar slicing-by-8 below
-64 KiB, chunk-parallel GF(2) folding above), so both paths are pinned
-to the standard CRC-32C test vector and to each other; the sidecar
-layer is exercised against real damage (truncation, bit flips).
+4 KiB, 64-byte chunk partials folded in a GF(2) tree above), so both
+paths are pinned to the standard CRC-32C test vector, to each other and
+to a bit-at-a-time textbook oracle; the sidecar layer is exercised
+against real damage (truncation, bit flips).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.faults.types import empty_errors
+from repro.logs import integrity
 from repro.logs.integrity import (
     SIDECAR_SUFFIX,
     ShardIntegrityError,
@@ -29,6 +31,22 @@ from repro.logs.store import load_records, save_records
 from repro.faults.types import ERROR_DTYPE
 
 
+def _crc32c_bitwise(data: bytes, value: int = 0) -> int:
+    """Textbook bit-at-a-time CRC-32C; shares no tables with the module."""
+    crc = value ^ 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+def _random_bytes(n: int, seed: int = 5) -> bytes:
+    return np.random.default_rng(seed).integers(
+        0, 256, size=n, dtype=np.uint8
+    ).tobytes()
+
+
 class TestCrc32c:
     def test_known_answer(self):
         # The canonical CRC-32C check vector (RFC 3720 appendix B.4).
@@ -40,13 +58,42 @@ class TestCrc32c:
     def test_scalar_and_vector_paths_agree(self):
         rng = np.random.default_rng(7)
         data = rng.integers(0, 256, size=300_000, dtype=np.uint8).tobytes()
-        # Full-buffer value (vector path, >= 64 KiB) must equal the value
-        # accumulated via small chained blocks (scalar path).
+        # Full-buffer value (vector path) must equal the value
+        # accumulated via chained blocks below the cutoff (scalar path).
+        block = 2048
+        assert block < integrity._VECTOR_MIN
         whole = crc32c(data)
         chained = 0
-        for i in range(0, len(data), 4096):
-            chained = crc32c(data[i : i + 4096], chained)
+        for i in range(0, len(data), block):
+            chained = crc32c(data[i : i + block], chained)
         assert whole == chained
+
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 3])
+    def test_matches_oracle_around_cutoff(self, delta):
+        data = _random_bytes(integrity._VECTOR_MIN + delta)
+        assert crc32c(data) == _crc32c_bitwise(data)
+
+    @pytest.mark.parametrize(
+        "rows", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 127, 129, 255, 257]
+    )
+    def test_tree_fold_matches_oracle(self, rows):
+        # Chunk counts of 1 and 2**k +- 1 exercise the odd-count zero
+        # partial at every tree level; a 3-byte tail and a non-zero
+        # incoming register exercise the body advance.
+        data = _random_bytes(64 * rows + 3, seed=rows)
+        value = 0x9E3779B9
+        reg = integrity._update_vector(
+            (~value) & 0xFFFFFFFF, np.frombuffer(data, dtype=np.uint8)
+        )
+        assert (~reg) & 0xFFFFFFFF == _crc32c_bitwise(data, value)
+
+    def test_chained_value_matches_oracle(self):
+        head, body = _random_bytes(100, seed=1), _random_bytes(20_001, seed=2)
+        assert len(body) % 4 == 1
+        assert crc32c(body, crc32c(head)) == _crc32c_bitwise(head + body)
+
+    def test_oracle_known_answer(self):
+        assert _crc32c_bitwise(b"123456789") == 0xE3069283
 
     def test_chaining_is_associative(self):
         data = b"The quick brown fox jumps over the lazy dog" * 100

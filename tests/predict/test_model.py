@@ -1,6 +1,7 @@
 """Model artifact: deterministic fit, CRC guard, mismatch refusals."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,28 @@ class TestArtifact:
         _, _, model = fitted
         model.save(tmp_path / "model.json")
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_save_is_fsync_ordered(self, fitted, tmp_path, monkeypatch):
+        # Data fsync before the rename, directory fsync after it.
+        import repro.predict.model as model_mod
+
+        calls = []
+
+        def record(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(os, "fsync", record("fsync", os.fsync))
+        monkeypatch.setattr(os, "replace", record("replace", os.replace))
+        monkeypatch.setattr(
+            model_mod, "fsync_dir", record("fsync_dir", model_mod.fsync_dir)
+        )
+        _, _, model = fitted
+        model.save(tmp_path / "model.json")
+        assert calls[:3] == ["fsync", "replace", "fsync_dir"]
+        assert calls.count("replace") == 1
 
     def test_tampered_value_refused(self, fitted, tmp_path):
         _, _, model = fitted

@@ -104,6 +104,36 @@ class TestStreamVerb:
         code = main(["stream", str(tmp_path / "nope")])
         assert code != 0
 
+    @pytest.mark.parametrize("tamper", ["errors_seen", "digit_flip"])
+    def test_tampered_checkpoint_exits_2(
+        self, text_campaign, tmp_path, capsys, tamper
+    ):
+        ckpt = tmp_path / "ckpt"
+        base = [
+            "stream", str(text_campaign),
+            "--checkpoint-dir", str(ckpt),
+            "--batch-bytes", str(1 << 18),
+        ]
+        assert main(base + ["--max-batches", "2"]) == 0
+        capsys.readouterr()
+        path = ckpt / "checkpoint.json"
+        if tamper == "errors_seen":
+            doc = json.loads(path.read_text())
+            doc["coalescer"]["errors_seen"] += 7
+            path.write_text(json.dumps(doc))
+        else:
+            raw = bytearray(path.read_bytes())
+            at = raw.index(b'"batches":') + len(b'"batches":')
+            raw[at] ^= 0x01  # '2' -> '3': still valid JSON
+            path.write_bytes(bytes(raw))
+            assert json.loads(raw)["batches"] == 3
+        assert main(base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "crc32c mismatch" in err
+        assert "--no-resume" in err
+        assert "Traceback" not in err
+
     def test_truncated_file_exits_2_with_recovery_hint(
         self, text_campaign, tmp_path, capsys
     ):
