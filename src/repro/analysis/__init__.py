@@ -23,8 +23,6 @@
 
 Extensions beyond the paper's own figures:
 
-- :mod:`repro.analysis.ecc_study` -- SEC-DED vs Chipkill error-pattern
-  outcomes (quantifying the section 2.2 design trade-off).
 - :mod:`repro.analysis.survival` -- Weibull/Kaplan-Meier treatment of
   the replacement data (quantifying section 3.1's infant mortality).
 """
@@ -34,10 +32,8 @@ from repro.analysis import (
     comparison,
     counts,
     distributions,
-    ecc_study,
     positional,
     powerlaw,
-    prediction,
     rates,
     replacements,
     survival,
@@ -53,10 +49,8 @@ __all__ = [
     "comparison",
     "counts",
     "distributions",
-    "ecc_study",
     "positional",
     "powerlaw",
-    "prediction",
     "rates",
     "replacements",
     "survival",

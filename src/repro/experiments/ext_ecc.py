@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.ecc_study import PATTERNS, compare_schemes
 from repro.experiments.base import ExperimentResult
+from repro.mitigation.codes import PATTERNS, compare_schemes
 
 EXP_ID = "ext-ecc"
 TITLE = "EXT: SEC-DED (Astra) vs Chipkill outcome matrix"

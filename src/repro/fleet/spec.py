@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.machine.topology import AstraTopology
 
 #: Manifest filename inside a fleet directory.
@@ -188,7 +189,7 @@ class Fleet:
         return cls(spec=spec, directory=directory, n_errors=n_errors)
 
 
-class FleetFormatError(ValueError):
+class FleetFormatError(ValueError, ReproError):
     """A fleet directory does not look like one (file and reason named)."""
 
     def __init__(self, path, reason: str):

@@ -36,9 +36,10 @@ ChipkillSsc`), and the machine tests exercise them against
 hand-computed syndrome vectors.
 
 The pattern-level Monte-Carlo study (inject physically motivated error
-patterns through the *real* SEC-DED and chipkill codecs) also lives
-here; :mod:`repro.analysis.ecc_study` delegates to it so the existing
-ablation bench stays byte-compatible.
+patterns through the *real* SEC-DED and chipkill codecs, quantifying
+the section 2.2 SEC-DED-versus-Chipkill trade-off Astra made) also
+lives here, with the text rendering the ablation bench and the
+examples print.
 """
 
 from __future__ import annotations
@@ -255,11 +256,9 @@ def rs_erasure_decode(
 
 
 # ----------------------------------------------------------------------
-# Pattern-level Monte-Carlo study through the *real* codecs.  Moved
-# verbatim from repro.analysis.ecc_study (which now delegates here) so
-# the scenario engine and the ablation bench share one code layer;
-# RNG draw order is unchanged, keeping every published number
-# byte-identical.
+# Pattern-level Monte-Carlo study through the *real* codecs, shared
+# by the scenario engine and the ablation bench; its RNG draw order is
+# part of every published number.
 # ----------------------------------------------------------------------
 
 #: The error patterns studied, in escalating severity.
@@ -447,3 +446,17 @@ def compare_schemes(trials: int = 2000, seed: int = 0) -> dict:
             "chipkill": evaluate_chipkill(pattern, trials, seed),
         }
     return out
+
+
+def render_comparison(results: dict) -> str:
+    """Text table of :func:`compare_schemes` output."""
+    lines = [
+        "pattern                         scheme     outcome mix",
+        "-" * 78,
+    ]
+    for pattern, pair in results.items():
+        for scheme in ("secded", "chipkill"):
+            lines.append(
+                f"{pattern:<30} {scheme:<9} {pair[scheme].summary()}"
+            )
+    return "\n".join(lines)

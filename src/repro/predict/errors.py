@@ -8,8 +8,10 @@ clean ``exit 2`` instead of a traceback.
 
 from __future__ import annotations
 
+from repro.errors import ReproError
 
-class PredictError(RuntimeError):
+
+class PredictError(RuntimeError, ReproError):
     """A model could not be trained, loaded, or applied."""
 
 

@@ -55,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import fsync_dir
+from repro.errors import ReproError
 from repro.faults.types import ERROR_DTYPE, FAULT_DTYPE, FaultMode
 from repro.logs.integrity import crc32c
 
@@ -78,7 +79,7 @@ _CE_KEY_BASE = 1 << 34
 _MAX_NODE = 1 << 29
 
 
-class RollupError(RuntimeError):
+class RollupError(RuntimeError, ReproError):
     """A rollup cube could not be built, merged, or loaded."""
 
 

@@ -29,6 +29,7 @@ import os
 from pathlib import Path
 
 from repro._util import fsync_dir
+from repro.errors import ReproError
 from repro.logs.integrity import crc32c
 
 #: Bump on any change to the checkpoint document layout.
@@ -44,7 +45,7 @@ def _digest(body: str) -> str:
     return f"{crc32c(body.encode()):08x}"
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(RuntimeError, ReproError):
     """A checkpoint could not be loaded (corrupt, wrong schema or CRC)."""
 
 

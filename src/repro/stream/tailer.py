@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.faults.types import empty_errors
 from repro.logs import bmc, het, inventory, syslog
 from repro.logs.ingest import (
@@ -48,7 +49,7 @@ from repro.machine.sensors import NodeSensorComplement
 from repro.synth.het import HET_DTYPE
 
 
-class TailError(RuntimeError):
+class TailError(RuntimeError, ReproError):
     """A tailed file did something an append-only log must not.
 
     Raised when a file shrinks below the consumed offset (rotation or

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.ecc_study import (
+from repro.mitigation.codes import (
     PATTERNS,
     EccOutcomes,
     compare_schemes,

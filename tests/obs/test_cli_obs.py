@@ -116,6 +116,20 @@ class TestTraceAndMetricsArtifacts:
         assert "does not exist" in capsys.readouterr().err
 
 
+class TestFailedRunKeepsArtifacts:
+    def test_typed_error_still_writes_trace_and_metrics(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        metrics_path = tmp_path / "metrics.json"
+        code = main(
+            ["query", str(tmp_path), "--rollups", str(tmp_path / "missing"),
+             "--trace-out", str(trace_path), "--metrics-out", str(metrics_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert validate_file(schema_dir() / "trace.schema.json", trace_path) == []
+        assert validate_file(schema_dir() / "metrics.schema.json", metrics_path) == []
+
+
 class TestProfileFlag:
     def test_profile_prints_hotspots_and_fills_report(
         self, tiny_campaign_dir, tmp_path, capsys

@@ -1,9 +1,49 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(*argv: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m repro ARGV`` (or ``python -c CODE``) on this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-c", code] if code else [
+        sys.executable, "-m", "repro", *argv
+    ]
+    return subprocess.run(
+        cmd, capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestImportFootprint:
+    def test_parser_build_imports_no_layer(self):
+        # Startup cost guard: `python -m repro serve` (and every verb)
+        # builds the full parser before it does anything else.
+        proc = _run_cli(code=(
+            "import sys, repro.cli\n"
+            "repro.cli.build_parser()\n"
+            "print('\\n'.join(sorted(sys.modules)))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        modules = proc.stdout.split()
+        heavy = [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+        layers = [
+            m for m in modules
+            if m.startswith("repro.")
+            and m != "repro.errors"
+            and not m.startswith("repro.cli")
+        ]
+        assert heavy == [] and layers == []
 
 
 class TestList:
@@ -279,6 +319,19 @@ class TestWhatif:
         code = main(["whatif", "--retire", "-2"])
         assert code == 2
         assert ">= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest", [None, "{not json"], ids=["missing", "unparseable"]
+    )
+    def test_non_fleet_directory_exits_2(self, tmp_path, manifest):
+        if manifest is not None:
+            (tmp_path / "fleet.json").write_text(manifest)
+        proc = _run_cli("whatif", "--fleet", str(tmp_path))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "fleet.json" in lines[0]
+        assert "Traceback" not in proc.stderr
 
 
 class TestValidateAndRelease:
