@@ -25,38 +25,8 @@ Extensions beyond the paper's own figures:
 
 - :mod:`repro.analysis.survival` -- Weibull/Kaplan-Meier treatment of
   the replacement data (quantifying section 3.1's infant mortality).
+
+The package imports none of these modules: import the one you need by
+its full path.  Some (``trends``, ``powerlaw``, ``survival``) load
+scipy, which the stream and serving layers must not pay for at start-up.
 """
-
-from repro.analysis import (
-    bursts,
-    comparison,
-    counts,
-    distributions,
-    positional,
-    powerlaw,
-    rates,
-    replacements,
-    survival,
-    temperature,
-    trends,
-    ue,
-    uniformity,
-    utilization,
-)
-
-__all__ = [
-    "bursts",
-    "comparison",
-    "counts",
-    "distributions",
-    "positional",
-    "powerlaw",
-    "rates",
-    "replacements",
-    "survival",
-    "temperature",
-    "trends",
-    "ue",
-    "uniformity",
-    "utilization",
-]

@@ -188,7 +188,8 @@ def mitigate(args) -> int:
 
 
 def validate(args) -> int:
-    from repro.synth import CampaignGenerator, render_validation, validate_campaign
+    from repro.synth import CampaignGenerator
+    from repro.synth.validation import render_validation, validate_campaign
 
     campaign = CampaignGenerator(seed=args.seed, scale=args.scale).generate()
     checks = validate_campaign(campaign)

@@ -111,7 +111,9 @@ def _inputs(directory, source: str, policy: str):
     else:
         from repro.logs.campaign_io import load_campaign_records
 
-        errors = load_campaign_records(directory, policy=policy).errors
+        records = load_campaign_records(directory, policy=policy)
+        errors = records.errors
+        _check_coverage(directory, records.ingest, policy)
     samples = None
     bmc_files = sorted(directory.glob("bmc*.csv"))
     if bmc_files:
@@ -122,6 +124,24 @@ def _inputs(directory, source: str, policy: str):
         parts = [ingest_bmc_log(p, policy=policy)[0] for p in bmc_files]
         samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return errors, coalesce(errors), samples
+
+
+def _check_coverage(directory, ingest: dict, policy: str) -> None:
+    """Refuse a campaign with no usable CE (its snapshot would answer 0
+    to everything); report partial coverage the way ``analyze`` does."""
+    from repro.logs.ingest import coverage_line, coverage_map
+    from repro.query import QueryError
+
+    stats = ingest["errors"]
+    if stats.coverage == 0.0:
+        raise QueryError(
+            f"{directory}: no usable CE records (found errors coverage 0% "
+            f"from source={stats.source or 'missing'}, {stats.seen} record(s) "
+            "seen; expected a readable errors.npy or ce.log); restore the "
+            "campaign's errors.npy or ce.log, or regenerate it with `synth`"
+        )
+    if stats.coverage < 1.0:
+        print(coverage_line(coverage_map(ingest), policy), file=sys.stderr)
 
 
 def _query(args):

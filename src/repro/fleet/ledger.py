@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import fsync_dir
+from repro.errors import ReproError
 from repro.logs.ingest import IngestStats
 from repro.logs.integrity import crc32c
 
@@ -58,7 +59,7 @@ LEDGER_SCHEMA_VERSION = 1
 EVENTS = ("plan", "resume", "attempt", "commit", "failed", "quarantine")
 
 
-class LedgerError(RuntimeError):
+class LedgerError(RuntimeError, ReproError):
     """A ledger could not be used (wrong version, unreadable, mismatched)."""
 
 
@@ -146,7 +147,10 @@ class FleetLedger:
         except FileNotFoundError:
             return [], 0
         except OSError as exc:
-            raise LedgerError(f"{path}: unreadable ledger ({exc})") from exc
+            raise LedgerError(
+                f"{path}: unreadable ledger ({exc}); remove it and rerun, "
+                "or rerun without --resume to re-process every shard"
+            ) from exc
         events = []
         skipped = 0
         for line in raw.splitlines():

@@ -183,6 +183,12 @@ def coverage_map(ingest: dict) -> dict:
     return {family: stats.coverage for family, stats in (ingest or {}).items()}
 
 
+def coverage_line(coverages: dict, policy=None) -> str:
+    """The ``telemetry coverage: errors=…%, …`` line the CLI prints."""
+    cov = ", ".join(f"{f}={c:.1%}" for f, c in sorted(coverages.items()))
+    return f"telemetry coverage: {cov}" + (f" (policy={policy})" if policy else "")
+
+
 # ----------------------------------------------------------------------
 def quarantine_path(path: str | os.PathLike) -> Path:
     """Sidecar path holding a log's quarantined records."""

@@ -230,12 +230,12 @@ class RunReport:
                 f"({self.injection.get('n_events', 0)} fault events)"
             )
         if self.ingest:
-            cov = ", ".join(
-                f"{family}={stats.get('coverage', 1.0):.1%}"
-                for family, stats in sorted(self.ingest.items())
-            )
-            policy = f" (policy={self.ingest_policy})" if self.ingest_policy else ""
-            lines.append(f"telemetry coverage: {cov}{policy}")
+            from repro.logs.ingest import coverage_line
+
+            lines.append(coverage_line(
+                {f: s.get("coverage", 1.0) for f, s in self.ingest.items()},
+                self.ingest_policy,
+            ))
         degraded = sum(m.status == "pass-degraded" for m in self.experiments)
         skipped = sum(
             m.status == "skipped-insufficient-data" for m in self.experiments

@@ -30,11 +30,6 @@ from repro.synth.sensors import SensorFieldModel
 from repro.synth.replacements import ReplacementGenerator, REPLACEMENT_DTYPE
 from repro.synth.het import HetGenerator, HET_DTYPE
 from repro.synth.campaign import Campaign, CampaignGenerator
-from repro.synth.validation import validate_campaign, render_validation
-from repro.synth.counterfactual import (
-    apply_placement_coupling,
-    apply_temperature_coupling,
-)
 
 __all__ = [
     "PaperCalibration",
@@ -49,8 +44,4 @@ __all__ = [
     "HET_DTYPE",
     "Campaign",
     "CampaignGenerator",
-    "validate_campaign",
-    "render_validation",
-    "apply_placement_coupling",
-    "apply_temperature_coupling",
 ]

@@ -123,3 +123,21 @@ class TestKillResume:
         }
         assert attempted_after.isdisjoint(committed_before)
         assert len(FleetLedger.committed(ledger_path)) == n_shards
+
+
+class TestUnreadableLedger:
+    def test_resume_refuses_with_one_error_line(self, tmp_path):
+        fleet_dir = tmp_path / "fleet"
+        synth_fleet(SPEC, fleet_dir, shards=True)
+        (fleet_dir / LEDGER_NAME).mkdir()  # present but unreadable
+        proc = subprocess.run(
+            _fleet_cmd(fleet_dir, "--resume"),
+            env=_cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [
+            ln for ln in proc.stderr.splitlines() if ln.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert LEDGER_NAME in errors[0] and "--resume" in errors[0]

@@ -143,3 +143,48 @@ class TestCorruption:
         ])
         assert code == 1
         assert "check FAILED" in capsys.readouterr().err
+
+
+class TestBuildCoverage:
+    @staticmethod
+    def _damaged_copy(campaign_dir, tmp_path, keep_text: bool):
+        """A copy of the campaign whose ``errors.npy`` fails its CRC."""
+        import shutil
+
+        camp = tmp_path / "camp"
+        shutil.copytree(campaign_dir, camp, ignore=shutil.ignore_patterns(
+            "rollups", *(() if keep_text else ("ce.log",))
+        ))
+        raw = bytearray((camp / "errors.npy").read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        (camp / "errors.npy").write_bytes(bytes(raw))
+        return camp
+
+    def test_unreadable_ces_refuse_to_build(self, campaign_dir, tmp_path,
+                                            capsys):
+        camp = self._damaged_copy(campaign_dir, tmp_path, keep_text=False)
+        code = main(["query", str(camp), "--build", "--select", "errors"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "found" in err and "expected" in err
+        assert not (camp / "rollups").exists()
+
+    def test_partial_coverage_builds_and_reports(self, campaign_dir,
+                                                 tmp_path, capsys):
+        camp = self._damaged_copy(campaign_dir, tmp_path, keep_text=True)
+        with open(camp / "ce.log", "a") as fh:
+            fh.write("not a CE record\n")
+        code = main(["query", str(camp), "--build", "--select", "errors"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "telemetry coverage: errors=" in err
+        assert "(policy=repair)" in err
+
+    def test_intact_campaign_builds_silently(self, campaign_dir, tmp_path,
+                                             capsys):
+        code = main([
+            "query", str(campaign_dir), "--rollups", str(tmp_path / "r"),
+            "--build", "--select", "errors",
+        ])
+        assert code == 0
+        assert "telemetry coverage" not in capsys.readouterr().err

@@ -4,8 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.synth import CampaignGenerator, render_validation, validate_campaign
-from repro.synth.validation import CheckResult, _check
+from repro.synth import CampaignGenerator
+from repro.synth.validation import (
+    CheckResult,
+    _check,
+    render_validation,
+    validate_campaign,
+)
 
 
 class TestCheckPrimitive:

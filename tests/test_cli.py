@@ -45,6 +45,26 @@ class TestImportFootprint:
         ]
         assert heavy == [] and layers == []
 
+    @pytest.mark.parametrize("module", [
+        "repro.stream", "repro.serve", "repro.query", "repro.predict",
+        "repro.logs",
+    ])
+    def test_runtime_layer_leaves_analysis_and_scipy_out(self, module):
+        # Cold-start guard: the long-running layers must not pay for
+        # scipy through a package __init__ that re-exports analyses.
+        proc = _run_cli(code=(
+            f"import sys, {module}\n"
+            "print('\\n'.join(sorted(sys.modules)))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        banned = [
+            m for m in proc.stdout.split()
+            if m.split(".")[0] == "scipy"
+            or m == "repro.analysis" or m.startswith("repro.analysis.")
+            or m in ("repro.synth.validation", "repro.synth.counterfactual")
+        ]
+        assert banned == []
+
 
 class TestList:
     def test_lists_experiments(self, capsys):
